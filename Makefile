@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint static static-fast test bench bench-placement bench-environment bench-staticcheck bench-serve trace-demo
+.PHONY: check lint static static-fast test bench bench-engine bench-placement bench-environment bench-staticcheck bench-serve trace-demo
 
 check: lint static test
 
@@ -30,6 +30,13 @@ test:
 # (the perf-trajectory data point CI archives per commit).
 bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_parallel.py --smoke
+
+# Engine benchmark (n = 24, IS-GC/CR): asserts the engine's loss
+# trajectory equals an inline per-partition loop bit for bit, so it
+# checks the stacked partition compute end to end, and that the engine
+# costs under 5% more than that loop.
+bench-engine:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_engine.py -q
 
 # Placement-layer benchmark; writes BENCH_placement.json and asserts
 # the registry's dispatch overhead stays under 5% of direct

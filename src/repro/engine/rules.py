@@ -69,19 +69,22 @@ class UpdateRule:
         """Per-partition quantities to encode, plus their batch losses.
 
         Used by in-process backends (the actor backend computes inside
-        its worker actors instead).  The default draws each partition's
-        seeded batch and evaluates the gradient at the current
-        parameters — the canonical step shared by every synchronous
-        scheme in the paper.
+        its worker actors instead).  The default evaluates every
+        partition's seeded batch gradient at the current parameters —
+        the canonical step shared by every synchronous scheme in the
+        paper — as one stacked model call per batch size.
         """
-        partition_gradients: GradientMap = {}
-        batch_losses: List[float] = []
-        for pid in range(engine.num_partitions):
-            x, y = engine.streams[pid].batch(step)
-            loss, grad = engine.model.loss_and_gradient(x, y)
-            partition_gradients[pid] = grad
-            batch_losses.append(loss)
-        return partition_gradients, batch_losses
+        from ..training.datasets import stack_batches
+
+        gradients = [None] * engine.num_partitions
+        losses = [None] * engine.num_partitions
+        for pids, x, y in stack_batches(engine.streams, step):
+            stack_losses, stack_grads = engine.model.loss_and_gradient_stacked(
+                x, y
+            )
+            for pid, loss, grad in zip(pids, stack_losses.tolist(), stack_grads):
+                gradients[pid], losses[pid] = grad, loss
+        return dict(enumerate(gradients)), losses
 
     def before_step(self, engine: "RoundEngine", step: int) -> None:
         """Hook run before the round executes."""

@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Mapping, Sequence
 
 import numpy as np
 
+from .engine.state import record_from_dict, record_to_dict
 from .exceptions import ConfigurationError
 from .straggler.traces import DelayTrace
 from .types import StepRecord, TrainingSummary
@@ -78,37 +79,14 @@ def load_summary(path: str | pathlib.Path) -> TrainingSummary:
 # Step records
 # ----------------------------------------------------------------------
 def records_to_dicts(records: Sequence[StepRecord]) -> List[Dict[str, Any]]:
-    """JSON-ready dicts for a sequence of step records."""
-    return [
-        {
-            "step": r.step,
-            "sim_time": r.sim_time,
-            "wait_time": r.wait_time,
-            "num_available": r.num_available,
-            "num_recovered": r.num_recovered,
-            "recovery_fraction": r.recovery_fraction,
-            "loss": r.loss,
-            "grad_norm": r.grad_norm,
-        }
-        for r in records
-    ]
+    """JSON-ready dicts for a sequence of step records (extras included)."""
+    return [record_to_dict(r) for r in records]
 
 
 def records_from_dicts(payload: Sequence[Mapping[str, Any]]) -> List[StepRecord]:
-    """Inverse of :func:`records_to_dicts`."""
-    return [
-        StepRecord(
-            step=int(d["step"]),
-            sim_time=float(d["sim_time"]),
-            wait_time=float(d["wait_time"]),
-            num_available=int(d["num_available"]),
-            num_recovered=int(d["num_recovered"]),
-            recovery_fraction=float(d["recovery_fraction"]),
-            loss=float(d["loss"]),
-            grad_norm=float(d.get("grad_norm", 0.0)),
-        )
-        for d in payload
-    ]
+    """Inverse of :func:`records_to_dicts`; a missing ``grad_norm`` reads
+    as 0 and missing ``extras`` as empty."""
+    return [record_from_dict(d) for d in payload]
 
 
 def save_records(

@@ -1,5 +1,6 @@
 """Tests for serialisation round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -79,6 +80,21 @@ class TestRecordsRoundTrip:
         }]
         loaded = io.records_from_dicts(payload)
         assert loaded[0].grad_norm == 0.0
+        assert loaded[0].extras == {}
+
+    def test_extras_survive_file_round_trip(self, records, tmp_path):
+        # Regression: records_to_dicts used to drop StepRecord.extras.
+        tagged = [
+            dataclasses.replace(
+                r, extras={"migration_cost": 0.1 * r.step, "bytes": 3.0}
+            )
+            for r in records
+        ]
+        path = tmp_path / "records.json"
+        io.save_records(tagged, path)
+        loaded = io.load_records(path)
+        assert loaded == tagged
+        assert loaded[2].extras == {"migration_cost": 0.1 * 2, "bytes": 3.0}
 
 
 class TestTraceRoundTrip:
