@@ -119,3 +119,35 @@ class TestSoftmaxCrossEntropy:
         targets = rng.integers(3, size=5)
         grad = SoftmaxCrossEntropy.grad(logits, targets)
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
+
+
+class TestStackedBatches:
+    """A 2-D ``pred`` for a scalar loss is a stack of batches along the
+    last axis, not one batch of multi-output predictions."""
+
+    @pytest.mark.parametrize("loss", [MeanSquaredError, BinaryCrossEntropy])
+    def test_scalar_loss_rows_are_batches(self, loss, rng):
+        pred = rng.normal(size=(3, 7))
+        target = rng.integers(2, size=(3, 7)).astype(float)
+        values = loss.values(pred, target)
+        grad = loss.grad(pred, target)
+        assert values.shape == (3,)
+        for i in range(3):
+            assert values[i] == loss.value(pred[i], target[i])
+            assert np.array_equal(grad[i], loss.grad(pred[i], target[i]))
+
+    def test_softmax_stacks_along_leading_axis(self, rng):
+        logits = rng.normal(size=(2, 5, 3))
+        target = rng.integers(3, size=(2, 5))
+        values = SoftmaxCrossEntropy.values(logits, target)
+        grad = SoftmaxCrossEntropy.grad(logits, target)
+        for i in range(2):
+            assert values[i] == SoftmaxCrossEntropy.value(logits[i], target[i])
+            assert np.array_equal(
+                grad[i], SoftmaxCrossEntropy.grad(logits[i], target[i])
+            )
+
+    @pytest.mark.parametrize("loss", [MeanSquaredError, BinaryCrossEntropy])
+    def test_value_rejects_a_stack(self, loss):
+        with pytest.raises(TrainingError, match="one batch"):
+            loss.value(np.zeros((2, 4)), np.zeros((2, 4)))
