@@ -16,6 +16,12 @@ benchmark asserts:
   of the inline loop's (the refactor's overhead budget);
 * the two produce bit-identical loss trajectories (so the comparison
   measures the same computation).
+
+A component gate rides along: at n = 96 on 1024 samples (two batch-size
+groups) the engine's bulk batch draw plus gather
+(:class:`~repro.training.datasets.BatchStacker`) must be at least
+**3×** faster than the per-stream ``BatchStream.batch`` loop it
+replaces, with every array equal.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from repro import (
     make_classification,
     partition_dataset,
 )
+from repro.training.datasets import BatchStacker
 from repro.training.evaluation import held_out_loss
 
 N = 24          # Fig. 11 cluster size
@@ -166,3 +173,51 @@ def test_engine_overhead_below_5_percent(benchmark):
         )
 
     benchmark(one_engine_run)
+
+
+DRAW_N = 96         # partitions for the batch-draw component gate
+DRAW_STEPS = 20     # rounds per timed repetition
+
+
+def _timed_batches(fn):
+    start = time.perf_counter()
+    out = [fn(step) for step in range(DRAW_STEPS)]
+    return time.perf_counter() - start, out
+
+
+def test_bulk_batch_draw_beats_per_stream_loop():
+    dataset = make_classification(1024, 8, num_classes=2, seed=1)
+    streams = build_batch_streams(
+        partition_dataset(dataset, DRAW_N, seed=2), batch_size=32, seed=3
+    )
+    stacker = BatchStacker(streams)
+
+    def per_stream(step):
+        return [stream.batch(step) for stream in streams]
+
+    # Warm both (the stacker concatenates its partitions on first use),
+    # then time them in back-to-back pairs as above.
+    _timed_batches(stacker.stacks)
+    _timed_batches(per_stream)
+    ratios = []
+    for _ in range(REPEATS):
+        bulk_t, stacks = _timed_batches(stacker.stacks)
+        loop_t, batches = _timed_batches(per_stream)
+        ratios.append(loop_t / bulk_t)
+
+    for step_stacks, step_batches in zip(stacks, batches):
+        assert [x.shape for _, x, _ in step_stacks] == [
+            (64, 11, 8), (32, 10, 8)
+        ]
+        for pids, x, y in step_stacks:
+            for row, pid in enumerate(pids):
+                bx, by = step_batches[pid]
+                assert np.array_equal(x[row], bx)
+                assert np.array_equal(y[row], by)
+
+    speedup = max(ratios)
+    assert speedup >= 3.0, (
+        f"bulk draw + gather only {speedup:.2f}x faster than per-stream "
+        f"batch() at n = {DRAW_N} (best of {REPEATS} pairs; all ratios: "
+        f"{[round(r, 2) for r in ratios]})"
+    )

@@ -96,9 +96,13 @@ class RoundEngine:
             cache.attach_metrics(self.tracer.registry)
         # The engine is imported by repro.training, so training-layer
         # helpers bind at construction time rather than import time.
+        from ..training.datasets import BatchStacker
         from ..training.evaluation import held_out_loss
 
         self._eval_fn = held_out_loss
+        #: the round's batches, stacked by batch size (derived from the
+        #: streams alone, so not run state).
+        self.batches = BatchStacker(self.streams)
 
     @property
     def clock(self) -> float:

@@ -74,11 +74,9 @@ class UpdateRule:
         the canonical step shared by every synchronous scheme in the
         paper — as one stacked model call per batch size.
         """
-        from ..training.datasets import stack_batches
-
         gradients = [None] * engine.num_partitions
         losses = [None] * engine.num_partitions
-        for pids, x, y in stack_batches(engine.streams, step):
+        for pids, x, y in engine.batches.stacks(step):
             stack_losses, stack_grads = engine.model.loss_and_gradient_stacked(
                 x, y
             )

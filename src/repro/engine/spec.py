@@ -52,6 +52,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
@@ -316,6 +317,16 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"unknown rule {self.rule!r}; expected sync, local-update, "
                 "adaptive or async"
+            )
+        # The seed feeds numpy's SeedSequence, which rejects negative and
+        # non-integer entropy only once build_engine gets that far.
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, numbers.Integral)
+            or self.seed < 0
+        ):
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
             )
 
     # ------------------------------------------------------------------

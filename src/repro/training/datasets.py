@@ -18,11 +18,13 @@ mini-batches for the same (partition, step) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from .batchdraw import draw_indices, exact_draw_available
 
 
 @dataclass(frozen=True)
@@ -182,6 +184,18 @@ class BatchStream:
     def batch_size(self) -> int:
         return self._batch_size
 
+    @property
+    def seed(self) -> int:
+        return self._seed
+
+    @property
+    def partition_id(self) -> int:
+        return self._partition_id
+
+    @property
+    def partition(self) -> Dataset:
+        return self._partition
+
     def indices(self, step: int) -> np.ndarray:
         """Row indices (into the partition) of the ``step`` mini-batch.
 
@@ -210,9 +224,18 @@ def build_batch_streams(
     ]
 
 
-def stack_batches(
-    streams: Sequence[BatchStream], step: int
-) -> List[Tuple[List[int], np.ndarray, np.ndarray]]:
+Stack = Tuple[List[int], np.ndarray, np.ndarray]
+
+
+def _batch_size_groups(streams: Sequence[BatchStream]) -> List[List[int]]:
+    """Stream indices grouped by batch size, in order of first appearance."""
+    groups: Dict[int, List[int]] = {}
+    for pid, stream in enumerate(streams):
+        groups.setdefault(stream.batch_size, []).append(pid)
+    return list(groups.values())
+
+
+def stack_batches(streams: Sequence[BatchStream], step: int) -> List[Stack]:
     """Every stream's ``step`` mini-batch, stacked by batch size.
 
     Returns one ``(pids, x[g, B, ...], y[g, B, ...])`` per distinct batch
@@ -220,11 +243,89 @@ def stack_batches(
     ``streams[pids[i]].batch(step)``.  Partitions of an uneven split
     differ in size by one row, so a clipped batch size gives two groups.
     """
-    groups: Dict[int, List[int]] = {}
-    for pid, stream in enumerate(streams):
-        groups.setdefault(stream.batch_size, []).append(pid)
     stacks = []
-    for pids in groups.values():
+    for pids in _batch_size_groups(streams):
         xs, ys = zip(*(streams[pid].batch(step) for pid in pids))
         stacks.append((pids, np.stack(xs), np.stack(ys)))
     return stacks
+
+
+#: Fewest streams for which :class:`BatchStacker` draws a round's batch
+#: indices in one vectorized call.  That call costs ~170-250 µs of fixed
+#: numpy overhead plus ~1 µs per row, against ~20-30 µs per stream for a
+#: native ``default_rng`` draw (one x86-64 core, numpy 2.4), so it
+#: breaks even around 8-12 streams.  16 leaves a margin for small
+#: rounds — the n = 12 serve sweeps, whose engines are rebuilt almost
+#: every quantum — which keep the per-stream :meth:`BatchStream.batch`.
+STACKED_DRAW_MIN_STREAMS = 16
+
+
+class BatchStacker:
+    """:func:`stack_batches` for one engine's streams, drawn in bulk.
+
+    With at least :data:`STACKED_DRAW_MIN_STREAMS` streams, and once
+    :func:`~repro.training.batchdraw.exact_draw_available` has confirmed
+    the transcription, a round's indices come from a single
+    :func:`~repro.training.batchdraw.draw_indices` call, drawn at the
+    largest batch size (a draw's prefix is the smaller draw), and each
+    batch-size group is one fancy-index gather from the partitions
+    concatenated on the first round (so building an engine costs no
+    more than before).  Smaller rounds, or a failed probe, call
+    :func:`stack_batches`.  Either way the stacks equal
+    :func:`stack_batches` bit for bit.
+    """
+
+    def __init__(self, streams: Sequence[BatchStream]):
+        self._streams = streams
+
+    @cached_property
+    def _plan(self) -> Optional["_StackPlan"]:
+        """The bulk-draw plan, built on the first round; ``None`` keeps
+        the per-stream draw."""
+        streams = self._streams
+        if (
+            len(streams) < STACKED_DRAW_MIN_STREAMS
+            or not exact_draw_available()
+        ):
+            return None
+        return _StackPlan(streams)
+
+    def stacks(self, step: int) -> List[Stack]:
+        """Every stream's ``step`` batch, as :func:`stack_batches` gives."""
+        if self._plan is None:
+            return stack_batches(self._streams, step)
+        return self._plan.stacks(step)
+
+
+class _StackPlan:
+    """The concatenated partitions and per-row draw keys of a stacker."""
+
+    def __init__(self, streams: Sequence[BatchStream]):
+        groups = _batch_size_groups(streams)
+        order = [streams[pid] for pids in groups for pid in pids]
+        parts = [stream.partition for stream in order]
+        self.features = np.concatenate([p.features for p in parts])
+        self.labels = np.concatenate([p.labels for p in parts])
+        self.sizes = np.array([p.num_samples for p in parts])
+        self.offsets = (np.cumsum(self.sizes) - self.sizes)[:, None]
+        self.pids = np.array([stream.partition_id for stream in order])
+        self.seeds = np.array([stream.seed for stream in order])
+        self.batch_size = max(stream.batch_size for stream in order)
+        self.groups = []
+        start = 0
+        for pids in groups:
+            stop = start + len(pids)
+            self.groups.append(
+                (pids, slice(start, stop), streams[pids[0]].batch_size)
+            )
+            start = stop
+
+    def stacks(self, step: int) -> List[Stack]:
+        rows = draw_indices(
+            self.seeds, self.pids, step, self.sizes, self.batch_size
+        ) + self.offsets
+        stacks = []
+        for pids, span, batch_size in self.groups:
+            idx = rows[span, :batch_size]
+            stacks.append((pids, self.features[idx], self.labels[idx]))
+        return stacks

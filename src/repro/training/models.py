@@ -14,7 +14,7 @@ Every model exposes
   ``loss_and_gradient(x[i], y[i])`` bit for bit.
 
 The stacked call is how a synchronous round evaluates all ``n``
-partition gradients: :func:`~repro.training.datasets.stack_batches`
+partition gradients: :class:`~repro.training.datasets.BatchStacker`
 groups the partitions by batch size (uneven splits give two groups) and
 the engine makes one stacked call per group.  The linear, logistic,
 softmax and MLP models write their math once, over the trailing axes

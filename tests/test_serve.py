@@ -386,6 +386,17 @@ class TestMailbox:
         assert snapshot["state"] == "rejected"
         assert "wait_for" in snapshot["error"]  # did-you-mean hint
 
+    def test_negative_seed_submission_rejected(self, tmp_path):
+        root = tmp_path / "mbox"
+        client = CoordinatorClient(root)
+        payload = make_spec(0).to_dict()
+        payload["seed"] = -5
+        (root / "inbox" / "neg.json").write_text(json.dumps({"spec": payload}))
+        serve_once(root)
+        snapshot = client.state("neg")
+        assert snapshot["state"] == "rejected"
+        assert "seed" in snapshot["error"]
+
     def test_mailbox_cancel(self, tmp_path):
         root = tmp_path / "mbox"
         client = CoordinatorClient(root)

@@ -42,6 +42,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="positive"):
             _spec(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-5, -1, 1.5, "3", True, None])
+    def test_rejects_bad_seed(self, seed):
+        # Before spec-time validation a negative seed got as far as
+        # build_engine and died in numpy's SeedSequence.
+        with pytest.raises(ConfigurationError, match="seed"):
+            _spec(seed=seed)
+        payload = _spec().to_dict()
+        payload["seed"] = seed
+        with pytest.raises(ConfigurationError, match="seed"):
+            ExperimentSpec.from_dict(payload)
+
+    def test_accepts_numpy_and_multiword_seeds(self):
+        import numpy as np
+
+        assert _spec(seed=np.int64(7)).seed == 7
+        build_engine(_spec(seed=2**40, max_steps=1)).run(1)
+
     def test_rejects_unknown_rule(self):
         with pytest.raises(ConfigurationError, match="unknown rule"):
             _spec(rule="teleport")
