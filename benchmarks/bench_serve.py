@@ -3,7 +3,7 @@
 full mailbox smoke gates.
 
 A self-contained script — ``make bench-serve`` and the CI step run it
-directly and archive its JSON report.  Five gates, all asserted (the
+directly and archive its JSON report.  Six gates, all asserted (the
 script exits non-zero on any violation):
 
 * **determinism** — 8 jobs submitted through a file mailbox and run by
@@ -23,7 +23,13 @@ script exits non-zero on any violation):
   and traces bit-for-bit identical to the never-interrupted run;
 * **failure isolation (live mode)** — rerunning the same 8 jobs in
   live (thread-pool) mode with one deliberately broken ninth job: the
-  bad job FAILs, every peer still matches the deterministic reports.
+  bad job FAILs, every peer still matches the deterministic reports;
+* **one snapshot per quantum** — the 8 jobs drained through a mailbox
+  with a pool smaller than ``max_running`` (so evictions land on round
+  boundaries the coordinator has just checkpointed) take at most
+  ``MAX_SNAPSHOTS_PER_QUANTUM`` engine snapshots per quantum.  This is
+  a count, not a timing, so it is stable on any machine; the report
+  also records the bytes the mailbox wrote.
 
 Usage::
 
@@ -63,6 +69,9 @@ SCHEMES = ("is-gc-cr", "is-gc-fr", "is-gc-hr", "gc")
 #: factor on the 8-job grid (in practice it wins by far more; 1.5 is
 #: the regression floor CI enforces).
 MIN_SPEEDUP = 1.5
+#: The coordinator's mailbox checkpoint and a pool eviction at the same
+#: round boundary share one snapshot, so a quantum takes at most one.
+MAX_SNAPSHOTS_PER_QUANTUM = 1.0
 
 
 def make_specs():
@@ -327,6 +336,70 @@ def live_failure_isolation(specs, snapshots):
         )
 
 
+def snapshot_reuse(specs, workdir):
+    """Count engine snapshots per quantum in a mailbox drain whose pool
+    (2) is smaller than ``max_running`` (4), and the bytes it writes."""
+    from repro.engine.core import RoundEngine
+    from repro.serve import mailbox as mailbox_module
+    from repro.serve.runner import JobRunner
+
+    root = workdir / "reuse-mbox"
+    client = CoordinatorClient(root)
+    job_ids = [
+        client.submit(spec, job_id=f"reuse-{i:02d}")
+        for i, spec in enumerate(specs)
+    ]
+    counts = {"snapshots": 0, "quanta": 0, "writes": 0, "bytes": 0}
+    snapshot, step = RoundEngine.snapshot, JobRunner.step
+    atomic_write = mailbox_module._atomic_write
+
+    def counted_snapshot(self):
+        counts["snapshots"] += 1
+        return snapshot(self)
+
+    def counted_step(self):
+        counts["quanta"] += 1
+        return step(self)
+
+    def counted_write(path, payload):
+        atomic_write(path, payload)
+        counts["writes"] += 1
+        counts["bytes"] += path.stat().st_size
+
+    RoundEngine.snapshot = counted_snapshot
+    JobRunner.step = counted_step
+    mailbox_module._atomic_write = counted_write
+    try:
+        coordinator = Coordinator(
+            mode="deterministic", max_running=4, pool_capacity=2
+        )
+        with coordinator:
+            asyncio.run(coordinator.serve(ServeMailbox(root), once=True))
+        stats = coordinator.pool.stats.to_dict()
+    finally:
+        RoundEngine.snapshot = snapshot
+        JobRunner.step = step
+        mailbox_module._atomic_write = atomic_write
+    states = [client.state(job_id)["state"] for job_id in job_ids]
+    assert all(state == "done" for state in states), states
+    assert stats["evictions"] > 0, stats
+    per_quantum = counts["snapshots"] / counts["quanta"]
+    assert per_quantum <= MAX_SNAPSHOTS_PER_QUANTUM, (
+        f"{counts['snapshots']} snapshots for {counts['quanta']} quanta "
+        f"({per_quantum:.2f} per quantum; gate: "
+        f"{MAX_SNAPSHOTS_PER_QUANTUM})"
+    )
+    return {
+        "max_snapshots_per_quantum": MAX_SNAPSHOTS_PER_QUANTUM,
+        "snapshots_per_quantum": round(per_quantum, 3),
+        "snapshots": counts["snapshots"],
+        "quanta": counts["quanta"],
+        "mailbox_writes": counts["writes"],
+        "mailbox_bytes": counts["bytes"],
+        "pool": stats,
+    }
+
+
 def main() -> int:
     specs = make_specs()
     report = {
@@ -372,6 +445,13 @@ def main() -> int:
         report["live_seconds"] = round(time.perf_counter() - start, 3)
         print("live mode: injected failure isolated, peers unaffected "
               f"({report['live_seconds']}s)")
+
+        report["snapshot_reuse"] = snapshot_reuse(specs, workdir)
+        reuse = report["snapshot_reuse"]
+        print(f"snapshots: {reuse['snapshots_per_quantum']} per quantum "
+              f"(gate: {MAX_SNAPSHOTS_PER_QUANTUM}), "
+              f"{reuse['mailbox_bytes']} mailbox bytes in "
+              f"{reuse['mailbox_writes']} writes")
 
     out = pathlib.Path("BENCH_serve.json")
     out.write_text(json.dumps(report, indent=2) + "\n")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -103,11 +103,22 @@ def set_generator_state(rng: np.random.Generator, state: Mapping) -> None:
 
 
 # ----------------------------------------------------------------------
-# Record (de)serialisation.
+# Record (de)serialisation.  Every snapshot re-encodes every record so
+# far, so the encoders read the (flat) fields directly instead of
+# going through ``dataclasses.asdict``'s recursive deep copy; the dicts
+# are equal, key order included.
+
+_STEP_FIELDS = tuple(f.name for f in fields(StepRecord))
+_ASYNC_FIELDS = tuple(f.name for f in fields(AsyncUpdateRecord))
+
 
 def record_to_dict(record: StepRecord) -> Dict[str, Any]:
-    """A :class:`StepRecord` as a JSON-safe dict (extras included)."""
-    payload = asdict(record)
+    """A :class:`StepRecord` as a JSON-safe dict (extras included).
+
+    ``extras`` is copied, so mutating the payload never reaches the
+    (frozen) record.
+    """
+    payload = {name: getattr(record, name) for name in _STEP_FIELDS}
     payload["extras"] = dict(record.extras)
     return payload
 
@@ -121,7 +132,7 @@ def record_from_dict(payload: Mapping[str, Any]) -> StepRecord:
 
 def async_record_to_dict(record: AsyncUpdateRecord) -> Dict[str, Any]:
     """An :class:`AsyncUpdateRecord` as a JSON-safe dict."""
-    return asdict(record)
+    return {name: getattr(record, name) for name in _ASYNC_FIELDS}
 
 
 def async_record_from_dict(payload: Mapping[str, Any]) -> AsyncUpdateRecord:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, AsyncIterator, Dict, List, Optional
 
@@ -124,6 +125,19 @@ class Job:
     )
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
 
+    # The spec never changes after admission, but its payload and digest
+    # are written on every quantum; compute each once, on first use
+    # (scheduler tests build jobs without a spec).
+    @functools.cached_property
+    def spec_dict(self) -> Dict[str, object]:
+        """``spec.to_dict()``, the checkpoint record's spec payload."""
+        return self.spec.to_dict()
+
+    @functools.cached_property
+    def spec_fingerprint(self) -> str:
+        """``spec.fingerprint()``, published in every state snapshot."""
+        return self.spec.fingerprint()
+
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready state summary (the ``jobs/<id>.json`` payload)."""
         payload: Dict[str, object] = {
@@ -132,7 +146,7 @@ class Job:
             "state": self.state.value,
             "weight": self.weight,
             "rounds_done": self.rounds_done,
-            "spec_fingerprint": self.spec.fingerprint(),
+            "spec_fingerprint": self.spec_fingerprint,
         }
         # Scheduling-class fields appear only when non-default, so
         # default-class jobs keep the exact historical payload.

@@ -1,10 +1,10 @@
 """File-based submission protocol between serve CLI commands and a
 running coordinator.
 
-A mailbox is a directory; every message is one JSON file written
-atomically (temp file + ``os.replace``), so readers never observe a
-partial payload and the protocol needs no socket, daemon library or
-extra dependency.  Layout::
+A mailbox is a directory; every message is one compact, sorted-key
+JSON file written atomically (a per-write temp file + ``os.replace``),
+so readers never observe a partial payload and the protocol needs no
+socket, daemon library or extra dependency.  Layout::
 
     <root>/
       coordinator.json          # present while a coordinator is serving
@@ -46,6 +46,7 @@ import json
 import os
 import pathlib
 import time
+import uuid
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
@@ -74,10 +75,22 @@ _TERMINAL = ("done", "failed", "cancelled", "rejected")
 
 
 def _atomic_write(path: pathlib.Path, payload: Dict[str, object]) -> None:
-    """Write JSON so that readers see either nothing or the whole file."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    """Write JSON so that readers see either nothing or the whole file.
+
+    Each write uses its own temp file beside the target and renames it
+    over the target, so concurrent writers of one target never clobber
+    each other's temp file (the last rename wins, whole); a failed
+    write removes its temp file.  The text is sorted-key JSON without
+    ``indent``, which keeps CPython's C encoder in use; floats still
+    round-trip exactly through ``repr``.
+    """
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _pid_alive(pid: int) -> bool:
@@ -320,7 +333,7 @@ class ServeMailbox:
             "name": job.name,
             "weight": job.weight,
             "rounds_done": job.rounds_done,
-            "spec": job.spec.to_dict(),
+            "spec": job.spec_dict,
             "engine_state": state.to_dict() if state is not None else None,
         }
         if job.priority != 0:

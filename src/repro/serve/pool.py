@@ -11,9 +11,13 @@ them:
   rebuilds one — from the job's checkpoint when it was previously
   evicted — and makes it resident (a *build*/*restore*);
 * when residency exceeds ``capacity``, the least-recently-used
-  unpinned job is *evicted*: its engine state is snapshotted onto the
-  job record (:attr:`~repro.serve.jobs.Job.checkpoint_state`) and the
-  engine discarded, so the job can resume bit-identically later;
+  unpinned job is *evicted*: its engine state is parked on the job
+  record (:attr:`~repro.serve.jobs.Job.checkpoint_state`) and the
+  engine discarded, so the job can resume bit-identically later.  The
+  state is the runner's round-boundary
+  :meth:`~repro.serve.runner.JobRunner.checkpoint`, which is memoised,
+  so evicting a job the coordinator has just checkpointed takes no
+  second snapshot;
 * jobs whose quantum is in flight are *pinned* and never evicted.
 
 Because eviction goes through the same
@@ -144,6 +148,11 @@ class WorkerPool:
         self._park(slot)
 
     def _park(self, slot: _Slot) -> None:
+        """Move a slot's engine state onto its job and drop the engine.
+
+        ``runner.checkpoint()`` reuses the state the coordinator took
+        at this round boundary, so parking costs no second snapshot.
+        """
         job = slot.job
         if not slot.runner.finished:
             job.checkpoint_state = slot.runner.checkpoint()

@@ -27,7 +27,10 @@ the spec, restores that state, rewinds the trace stream to the
 checkpointed round count, and continues — bit-identically to a run
 that was never interrupted.  This is how the
 :class:`~repro.serve.pool.WorkerPool` parks evicted jobs and how a
-restarted coordinator resumes RUNNING jobs after a crash.
+restarted coordinator resumes RUNNING jobs after a crash.  The state is
+taken once per round boundary: ``checkpoint()`` memoises it until the
+next ``step()``, so the coordinator's mailbox checkpoint and a pool
+eviction at the same boundary share one snapshot.
 """
 
 from __future__ import annotations
@@ -101,6 +104,9 @@ class JobRunner:
                 trace_path, append=checkpoint is not None
             )
         self.engine = build_engine(spec, tracer=self.tracer)
+        #: the state at the current round boundary once taken (or the
+        #: restored one); dropped by ``step()``.
+        self._checkpoint = checkpoint
         self._finished = False
         self._summary = None
         if spec.rule == "async":
@@ -138,6 +144,7 @@ class JobRunner:
         """
         if self._finished:
             raise ServeError("job already finished; step() after end")
+        self._checkpoint = None
         if self.spec.rule == "async":
             if self.engine.step_updates(ASYNC_QUANTUM):
                 self._summary = self.engine.finish_updates()
@@ -156,12 +163,19 @@ class JobRunner:
 
         JSON-round-trippable; handing it to a new ``JobRunner`` for the
         same spec (``checkpoint=``) resumes the job bit-identically.
+        The state is memoised until the next :meth:`step` (a runner
+        built with ``checkpoint=`` starts with that state), so repeated
+        calls at one boundary return the same object.  Sharing it is
+        safe: :class:`~repro.engine.EngineState` is frozen, and both
+        ``restore`` and ``to_dict`` copy its record dicts.
         """
         if self._finished:
             raise ServeError(
                 "job already finished; nothing left to checkpoint"
             )
-        return self.engine.snapshot()
+        if self._checkpoint is None:
+            self._checkpoint = self.engine.snapshot()
+        return self._checkpoint
 
     def _stream_new_traces(self) -> None:
         """Flush traces recorded since the last round to the stream."""

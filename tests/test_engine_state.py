@@ -24,9 +24,14 @@ from repro.engine.state import (
     CHECKPOINT_COVERED,
     CHECKPOINT_TRANSIENT,
     EngineState,
+    async_record_from_dict,
+    async_record_to_dict,
+    record_from_dict,
+    record_to_dict,
 )
 from repro.exceptions import TrainingError
 from repro.obs import RoundTracer
+from repro.types import AsyncUpdateRecord, StepRecord
 
 #: Every backend × update-rule combination the engine supports (the
 #: ``async`` rule always runs on the async-arrivals backend).
@@ -264,3 +269,126 @@ class TestSweepSpecInteraction:
             baseline = report_dict(spec, run_uninterrupted(spec))
             resumed = report_dict(spec, run_with_suspension(spec, 2))
             assert resumed == baseline
+
+
+# ----------------------------------------------------------------------
+# Record codec: the field-tuple encoders against a ``dataclasses.asdict``
+# reference (the encoding every earlier snapshot was written with).
+
+
+def reference_record_to_dict(record):
+    payload = dataclasses.asdict(record)
+    payload["extras"] = dict(record.extras)
+    return payload
+
+
+def reference_async_record_to_dict(record):
+    return dataclasses.asdict(record)
+
+
+finite = st.floats(allow_nan=False)
+counts = st.integers(min_value=0, max_value=2**40)
+
+step_records = st.builds(
+    StepRecord,
+    step=counts,
+    sim_time=finite,
+    wait_time=finite,
+    num_available=counts,
+    num_recovered=counts,
+    recovery_fraction=finite,
+    loss=finite,
+    grad_norm=finite,
+    extras=st.dictionaries(st.text(max_size=8), finite, max_size=5),
+)
+async_records = st.builds(
+    AsyncUpdateRecord,
+    update_index=counts,
+    sim_time=finite,
+    worker=counts,
+    staleness=counts,
+    loss=finite,
+)
+
+
+def state_with(records, async_records, encode, encode_async):
+    return EngineState(
+        mode="rounds",
+        round_index=len(records),
+        params=(0.5, -1.25),
+        max_steps=len(records) + 1,
+        loss_threshold=None,
+        smoothing_window=1,
+        records=tuple(encode(r) for r in records),
+        async_records=tuple(encode_async(r) for r in async_records),
+        losses=tuple(r.loss for r in records),
+    )
+
+
+class TestRecordCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(record=step_records)
+    def test_step_record_matches_asdict_reference(self, record):
+        payload = record_to_dict(record)
+        reference = reference_record_to_dict(record)
+        assert payload == reference
+        assert list(payload) == list(reference)
+        assert list(payload["extras"]) == list(reference["extras"])
+        assert record_from_dict(payload) == record
+
+    @settings(max_examples=100, deadline=None)
+    @given(record=step_records)
+    def test_extras_copy_is_detached(self, record):
+        before = dict(record.extras)
+        payload = record_to_dict(record)
+        payload["extras"]["injected"] = 1.0
+        payload["extras"].pop(next(iter(before), None), None)
+        assert dict(record.extras) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(record=async_records)
+    def test_async_record_matches_asdict_reference(self, record):
+        payload = async_record_to_dict(record)
+        reference = reference_async_record_to_dict(record)
+        assert payload == reference
+        assert list(payload) == list(reference)
+        assert async_record_from_dict(payload) == record
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        records=st.lists(step_records, max_size=6),
+        updates=st.lists(async_records, max_size=6),
+    )
+    def test_state_json_matches_reference_encoding(self, records, updates):
+        ours = state_with(
+            records, updates, record_to_dict, async_record_to_dict
+        )
+        reference = state_with(
+            records, updates,
+            reference_record_to_dict, reference_async_record_to_dict,
+        )
+        assert ours.to_json() == reference.to_json()
+
+    @pytest.mark.parametrize("backend,rule", COMBOS)
+    def test_engine_snapshot_json_matches_reference(self, backend, rule):
+        spec = make_spec(backend, rule, max_steps=8)
+        engine = build_engine(spec)
+        if rule == "async":
+            engine.start_updates(spec.max_steps)
+            engine.step_updates(5)
+        else:
+            engine.start_run(spec.max_steps)
+            engine.step_rounds(5)
+        state = engine.snapshot()
+        reference = dataclasses.replace(
+            state,
+            records=tuple(
+                reference_record_to_dict(r) for r in engine.records
+            ),
+            async_records=tuple(
+                reference_async_record_to_dict(r)
+                for r in engine.async_records
+            ),
+        )
+        assert state.records or state.async_records
+        assert state.to_json() == reference.to_json()

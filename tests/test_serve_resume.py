@@ -49,6 +49,8 @@ from repro.serve import (
     ServeMailbox,
     WorkerPool,
 )
+from repro.engine.core import RoundEngine
+from repro.serve import mailbox as mailbox_module
 from repro.serve.jobs import Job
 from repro.serve.runner import JobRunner
 
@@ -717,3 +719,141 @@ class TestWatch:
         ])
         assert rc == 0
         assert "no jobs and no coordinator" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# One snapshot per round boundary, and the mailbox's file writes
+
+
+def _count_calls(monkeypatch, cls, name):
+    """Count calls of ``cls.name`` (still delegating to it)."""
+    original = getattr(cls, name)
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestSnapshotReuse:
+    def test_mailbox_drain_takes_one_snapshot_per_quantum(
+        self, tmp_path, monkeypatch
+    ):
+        specs = [make_spec(i, max_steps=6) for i in range(6)]
+        mb = tmp_path / "mb"
+        client = CoordinatorClient(mb)
+        ids = [client.submit(spec) for spec in specs]
+        snapshots = _count_calls(monkeypatch, RoundEngine, "snapshot")
+        quanta = _count_calls(monkeypatch, JobRunner, "step")
+        coord = drain(mb, max_running=4, pool_capacity=2)
+        assert all(client.state(job_id)["state"] == "done" for job_id in ids)
+        # The pool really evicted at round boundaries the coordinator
+        # had just checkpointed, so the memo was exercised.
+        assert coord.pool.stats.evictions > 0
+        assert len(quanta) == sum(spec.max_steps for spec in specs)
+        assert len(snapshots) <= len(quanta)
+
+    def test_checkpoint_is_memoised_until_step(self):
+        runner = JobRunner(make_spec(0))
+        runner.step()
+        first = runner.checkpoint()
+        assert runner.checkpoint() is first
+        assert first.round_index == 1
+        runner.step()
+        second = runner.checkpoint()
+        assert second is not first
+        assert second.round_index == 2
+        assert second.to_json() == runner.engine.snapshot().to_json()
+
+    @pytest.mark.parametrize("via_json", [False, True])
+    def test_restored_runner_starts_with_its_checkpoint(self, via_json):
+        spec = make_spec(0)
+        first = JobRunner(spec)
+        first.step(); first.step()
+        state = first.checkpoint()
+        if via_json:
+            state = type(state).from_json(state.to_json())
+        second = JobRunner(spec, checkpoint=state)
+        assert second.checkpoint() == state
+        # ...and that memo is exactly what a fresh snapshot would say.
+        assert second.engine.snapshot().to_json() == state.to_json()
+        second.step()
+        assert second.checkpoint().round_index == 3
+
+    def test_indented_checkpoint_file_recovers_bit_identically(
+        self, tmp_path
+    ):
+        spec = make_spec(0, max_steps=8)
+        (straight,) = run_jobs([spec])
+        runner = JobRunner(spec)
+        for _ in range(3):
+            runner.step()
+        payload = {
+            "id": "old-format",
+            "name": spec.name,
+            "weight": 1,
+            "rounds_done": 3,
+            "spec": spec.to_dict(),
+            "engine_state": runner.checkpoint().to_dict(),
+        }
+        mb = tmp_path / "mb"
+        client = CoordinatorClient(mb)
+        # The layout earlier releases wrote: two-space indented JSON.
+        (mb / "checkpoints" / "old-format.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+        drain(mb)
+        snap = client.state("old-format")
+        assert snap["state"] == "done", snap
+        assert strip_trace(snap["report"]) == strip_trace(straight.to_dict())
+
+
+class TestAtomicWrite:
+    def test_overlapping_writers_of_one_target(self, tmp_path, monkeypatch):
+        target = tmp_path / "job.json"
+        real_replace = os.replace
+        raced = []
+
+        def racing_replace(src, dst):
+            # A second writer of the same target runs its whole write
+            # between the first writer's temp write and its rename.
+            if not raced:
+                raced.append(src)
+                mailbox_module._atomic_write(target, {"writer": "second"})
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        mailbox_module._atomic_write(target, {"writer": "first"})
+        assert raced
+        assert json.loads(target.read_text()) == {"writer": "first"}
+        assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            mailbox_module._atomic_write(tmp_path / "job.json", {"a": 1})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_files_are_compact_sorted_json(self, tmp_path):
+        target = tmp_path / "job.json"
+        payload = {"b": [1.1, 2.0], "a": {"z": 0.1, "y": None}}
+        mailbox_module._atomic_write(target, payload)
+        text = target.read_text()
+        assert text == json.dumps(payload, sort_keys=True) + "\n"
+        assert json.loads(text) == payload
+
+
+class TestJobSpecPayload:
+    def test_spec_payloads_are_cached_and_exact(self):
+        spec = make_spec(0)
+        job = Job(job_id="j0", name="j0", spec=spec)
+        assert job.spec_dict == spec.to_dict()
+        assert job.spec_dict is job.spec_dict
+        assert job.spec_fingerprint == spec.fingerprint()
+        assert job.snapshot()["spec_fingerprint"] == spec.fingerprint()
